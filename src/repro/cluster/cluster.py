@@ -6,10 +6,18 @@ the cluster in the dispatch cycle (zero latency) and to other clusters via
 the interconnect.  The cluster itself is policy-free: readiness and
 completion are delegated to the pipeline, which knows about producers,
 forwarding latencies and the memory system.
+
+Select is event-driven, like real wake-up logic: it polls only the
+cluster's *awake* entries.  An entry that cannot be ready yet is parked
+by the pipeline and comes back through :meth:`Cluster.wake` (its
+producer or an older store dispatched) or the cluster's cycle calendar
+(:meth:`Cluster.wake_at`).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.isa import DynInst, OpClass
@@ -26,6 +34,8 @@ _RS_FOR_CLASS = {
     # SIMPLE_INT / SIMPLE_FP go to one of the two simple stations.
 }
 
+_SELECT_KEY = attrgetter("select_key")
+
 
 class Cluster:
     """Reservation stations + functional units of one cluster."""
@@ -38,6 +48,16 @@ class Cluster:
                                      rs_write_ports)
             for name in ("mem", "br", "cpx", "simple0", "simple1")
         }
+        self._station_order = tuple(self.stations.values())
+        #: Rank of each station in select order.
+        self._rank = {station: rank
+                      for rank, station in enumerate(self._station_order)}
+        #: Entries select polls this cycle, in ``select_key`` order
+        #: unless ``_unsorted``.
+        self._awake: List[DynInst] = []
+        self._unsorted = False
+        #: Parked entries by the cycle they become ready in.
+        self._calendar: Dict[int, List[DynInst]] = defaultdict(list)
         self.units: List[FunctionalUnit] = make_cluster_units()
         self._units_by_class: Dict[OpClass, List[FunctionalUnit]] = {}
         for unit in self.units:
@@ -63,16 +83,12 @@ class Cluster:
                 return station
         return None
 
-    def can_accept(self, inst: DynInst, now: int) -> bool:
-        """True if ``inst`` can be written into a station this cycle."""
-        return self._station_for(inst.static.op_class, now) is not None
-
     def has_space(self, inst: DynInst, now: int) -> bool:
-        """Pure variant of :meth:`can_accept` for observers.
+        """True if ``inst`` can be written into a station this cycle.
 
-        ``_station_for`` advances the simple-station balance toggle, so
-        calling it from instrumentation would perturb placement;
-        accounting and other read-only callers use this instead.
+        Pure: unlike :meth:`accept` it leaves the simple-station balance
+        toggle alone, so accounting and other read-only callers may use
+        it without perturbing placement.
         """
         name = _RS_FOR_CLASS.get(inst.static.op_class)
         if name is not None:
@@ -86,6 +102,8 @@ class Cluster:
         if station is None:
             return False
         station.insert(inst, now)
+        inst.select_key = (self._rank[station], inst.seq)
+        self.wake(inst)
         return True
 
     # ------------------------------------------------------------------
@@ -94,29 +112,56 @@ class Cluster:
     def dispatch_cycle(
         self,
         now: int,
-        is_ready: Callable[[DynInst, int], bool],
+        is_ready: Callable[[DynInst, int], Optional[bool]],
         on_dispatch: Callable[[DynInst, FunctionalUnit, int], None],
     ) -> int:
         """Select and dispatch ready instructions onto free units.
 
-        Readiness is evaluated once per buffered instruction per cycle;
-        ready instructions then compete oldest-first for the free units of
-        their class.  Returns the number of dispatches.
+        Must run once per cycle, with consecutive ``now`` values.  Entries
+        parked with :meth:`wake_at` for this cycle wake first.  Then only
+        the awake entries are polled, station by station (mem, br, cpx,
+        simple0, simple1) and oldest first within a station, and
+        ``is_ready(inst, now)`` answers:
+
+        * ``True``: ``inst`` may dispatch this cycle;
+        * ``False``: not this cycle; poll it again next cycle;
+        * ``None``: the caller has parked ``inst``.  It is not polled
+          again until :meth:`wake` or the cycle given to :meth:`wake_at`.
+
+        Every poll happens before any dispatch, so an entry woken by
+        ``on_dispatch`` is polled this cycle only if its cluster has not
+        run yet.  Ready instructions then compete oldest-first for the
+        free units of their class.  Returns the number of dispatches.
         """
+        awake = self._awake
+        due = self._calendar.pop(now, None)
+        if due is not None:
+            awake.extend(due)
+            self._unsorted = True
+        if not awake:
+            return 0
+        if self._unsorted:
+            awake.sort(key=_SELECT_KEY)
+            self._unsorted = False
         ready_by_class: dict = {}
-        for station in self.stations.values():
-            entries = station.entries
-            if not entries:
+        # Compact in place: parked entries drop out of ``awake``.
+        kept = 0
+        for inst in awake:
+            ready = is_ready(inst, now)
+            if ready is None:
                 continue
-            for inst in entries:
-                if is_ready(inst, now):
-                    key = inst.static.op_class
-                    bucket = ready_by_class.get(key)
-                    if bucket is None:
-                        ready_by_class[key] = bucket = []
-                    bucket.append((inst.seq, inst, station))
+            awake[kept] = inst
+            kept += 1
+            if ready:
+                key = inst.static.op_class
+                bucket = ready_by_class.get(key)
+                if bucket is None:
+                    ready_by_class[key] = bucket = []
+                bucket.append((inst.seq, inst))
+        del awake[kept:]
         if not ready_by_class:
             return 0
+        stations = self._station_order
         dispatched = 0
         for kind, candidates in ready_by_class.items():
             free_units = [
@@ -125,17 +170,23 @@ class Cluster:
             if not free_units:
                 continue
             candidates.sort()
-            for unit, (_seq, inst, station) in zip(free_units, candidates):
-                station.remove(inst)
+            for unit, (_seq, inst) in zip(free_units, candidates):
+                stations[inst.select_key[0]].remove(inst)
+                awake.remove(inst)
                 on_dispatch(inst, unit, now)
                 dispatched += 1
         return dispatched
 
-    def _stations_feeding(self, kind: OpClass) -> List[ReservationStation]:
-        if kind in (OpClass.SIMPLE_INT, OpClass.SIMPLE_FP):
-            return [self.stations["simple0"], self.stations["simple1"]]
-        name = _RS_FOR_CLASS[kind]
-        return [self.stations[name]]
+    def wake(self, inst: DynInst) -> None:
+        """Make the buffered ``inst`` pollable by select again."""
+        awake = self._awake
+        if awake and awake[-1].select_key > inst.select_key:
+            self._unsorted = True
+        awake.append(inst)
+
+    def wake_at(self, inst: DynInst, cycle: int) -> None:
+        """Park the buffered ``inst`` until ``cycle`` (a later cycle)."""
+        self._calendar[cycle].append(inst)
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -146,8 +197,17 @@ class Cluster:
         return sum(len(s) for s in self.stations.values())
 
     def clear(self) -> None:
-        """Drop all buffered instructions (pipeline reset)."""
-        for station in self.stations.values():
+        """Drop all buffered instructions and select state (pipeline reset).
+
+        A cleared cluster places and selects exactly like a fresh one.
+        Entries the caller parked outside the cluster (on a producer, or
+        behind a store) are the caller's to drop.
+        """
+        for station in self._station_order:
             station.clear()
+        self._awake.clear()
+        self._unsorted = False
+        self._calendar.clear()
+        self._simple_toggle = 0
         for unit in self.units:
             unit.busy_until = -1

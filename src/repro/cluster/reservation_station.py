@@ -8,13 +8,13 @@ station has two write ports, bounding insertions per cycle.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.isa import DynInst
 
 
 class ReservationStation:
-    """One reservation station: bounded buffer with oldest-first select."""
+    """One reservation station: a bounded buffer with limited write ports."""
 
     __slots__ = ("name", "capacity", "write_ports", "entries",
                  "_writes_cycle", "_writes_used")
@@ -51,14 +51,6 @@ class ReservationStation:
     def remove(self, inst: DynInst) -> None:
         """Remove a dispatched instruction."""
         self.entries.remove(inst)
-
-    def oldest_ready(self, is_ready, now: int) -> Optional[DynInst]:
-        """Oldest entry for which ``is_ready(inst, now)`` holds."""
-        best: Optional[DynInst] = None
-        for inst in self.entries:
-            if (best is None or inst.seq < best.seq) and is_ready(inst, now):
-                best = inst
-        return best
 
     def clear(self) -> None:
         """Drop all entries (pipeline reset)."""

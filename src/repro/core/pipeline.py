@@ -19,10 +19,14 @@ approximation, see DESIGN.md):
   forwarded values arrive ``hop_latency x distance`` cycles after the
   producer completes (zero within the cluster).  The operand arriving
   last is the **critical input** on which all of the paper's forwarding
-  statistics are computed.
+  statistics are computed.  Wake-up is event-driven: an entry still
+  waiting for a producer is parked on that producer's dependents and
+  re-examined when it dispatches; one whose wake-up time is known sleeps
+  in its cluster's calendar until that cycle.
 * Loads do not pass older stores with unresolved addresses (no
   speculative disambiguation), stores complete into the store buffer, and
-  loads may forward from it.
+  loads may forward from it.  A load held back by an older store is
+  parked until a store dispatch makes it the oldest.
 """
 
 from __future__ import annotations
@@ -131,6 +135,8 @@ class Pipeline:
         self.rob: Deque[DynInst] = deque()
         self.frontend: Deque[Tuple[int, DynInst]] = deque()
         self._pending_stores: List[Tuple[int, DynInst]] = []
+        #: Loads parked behind an older pending store, by ``seq``.
+        self._parked_loads: List[Tuple[int, DynInst]] = []
         self._inflight_stores = 0
         #: Chain-formation confidence: observations per candidate leader pc.
         self._chain_observations: Dict[int, int] = {}
@@ -279,18 +285,30 @@ class Pipeline:
         for cluster in self.clusters:
             cluster.dispatch_cycle(now, is_ready, on_dispatch)
 
-    def _is_ready(self, inst: DynInst, now: int) -> bool:
+    def _is_ready(self, inst: DynInst, now: int) -> Optional[bool]:
+        """Readiness of the awake ``inst`` under the
+        :meth:`Cluster.dispatch_cycle` contract.
+
+        Returns None after parking ``inst`` on whatever it waits for: an
+        incomplete producer, a known future wake-up cycle, or an older
+        pending store.  A memory op refused a D-cache port returns False
+        and stays awake, since ports are a per-cycle limit.
+        """
         ready = inst.ready_time
         if ready is None:
-            blocker = inst.wait_producer
-            if blocker is not None and blocker.complete_cycle < 0:
-                return False
             ready = self._compute_ready(inst)
             if ready is None:
-                return False
+                producer = inst.wait_producer
+                dependents = producer.dependents
+                if dependents is None:
+                    producer.dependents = [inst]
+                else:
+                    dependents.append(inst)
+                return None
             inst.ready_time = ready
         if ready > now:
-            return False
+            self.clusters[inst.cluster].wake_at(inst, ready)
+            return None
         static = inst.static
         if static.is_mem:
             if not self.memory.port_available(now):
@@ -298,7 +316,8 @@ class Pipeline:
             # No speculative disambiguation: a load may not execute until
             # every older store has generated its address.
             if static.is_load and self._oldest_pending_store_seq() < inst.seq:
-                return False
+                heapq.heappush(self._parked_loads, (inst.seq, inst))
+                return None
         return True
 
     def _oldest_pending_store_seq(self) -> int:
@@ -377,13 +396,29 @@ class Pipeline:
                 inst.seq, inst.mem_addr, static.is_store, now + exec_latency
             )
             inst.complete_cycle = now + exec_latency + mem_latency
+            if static.is_store and self._parked_loads:
+                self._wake_loads()
         else:
             inst.complete_cycle = now + exec_latency
+        dependents = inst.dependents
+        if dependents is not None:
+            inst.dependents = None
+            clusters = self.clusters
+            for consumer in dependents:
+                clusters[consumer.cluster].wake(consumer)
         self.stats.record_critical(inst, self.interconnect)
         if self.observer is not None:
             self.observer.on_dispatch(inst, now)
         if self.strategy.uses_chains:
             self._chain_feedback(inst)
+
+    def _wake_loads(self) -> None:
+        """Wake the parked loads no older store holds back any more."""
+        oldest_store = self._oldest_pending_store_seq()
+        parked = self._parked_loads
+        while parked and parked[0][0] < oldest_store:
+            load = heapq.heappop(parked)[1]
+            self.clusters[load.cluster].wake(load)
 
     # ------------------------------------------------------------------
     # FDRT chain feedback (Table 4).

@@ -10,7 +10,7 @@ on which all of the paper's statistics are collected.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.isa.opcodes import (
     BRANCH_OPCODES,
@@ -156,8 +156,12 @@ class DynInst:
         "src_forwarded",
         # Cached wake-up time within the assigned cluster (None = unknown).
         "ready_time",
-        # Producer blocking the wake-up computation (fast re-check).
+        # Producer blocking the wake-up computation.
         "wait_producer",
+        # (station rank, seq): select order within the cluster.
+        "select_key",
+        # Buffered consumers parked until this instruction dispatches.
+        "dependents",
         # Timing (cycle numbers; -1 = not yet reached).
         "fetch_cycle",
         "issue_cycle",
@@ -192,6 +196,8 @@ class DynInst:
         self.src_forwarded: Tuple[bool, ...] = ()
         self.ready_time: Optional[int] = None
         self.wait_producer: Optional["DynInst"] = None
+        self.select_key: Optional[Tuple[int, int]] = None
+        self.dependents: Optional[List["DynInst"]] = None
         self.fetch_cycle = -1
         self.issue_cycle = -1
         self.dispatch_cycle = -1

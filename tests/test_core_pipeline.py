@@ -5,8 +5,10 @@ import pytest
 from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
 from repro.core.pipeline import Pipeline
+from repro.isa import Opcode
 from repro.isa.instruction import LeaderFollower
 from repro.workloads.execution import FunctionalSimulator
+from tests.conftest import link, make_dyn
 
 
 @pytest.fixture(params=["base", "issue", "friendly", "fdrt"])
@@ -177,3 +179,96 @@ class TestStatsReset:
         assert pipeline.trace_cache.resident_lines() == resident
         pipeline.run(1000)
         assert pipeline.stats.retired >= 1000
+
+
+class TestEventDrivenWakeup:
+    """A parked entry is polled again in the first cycle its blocker can
+    have cleared: the same cycle if its cluster runs after the one that
+    cleared it, otherwise the next.  Until then it costs no polls."""
+
+    @staticmethod
+    def record_polls(pipeline):
+        polls = []
+        for cluster in pipeline.clusters:
+            def counted(now, is_ready, on_dispatch,
+                        _dispatch=cluster.dispatch_cycle):
+                def polled(inst, when):
+                    polls.append((when, inst.seq))
+                    return is_ready(inst, when)
+                return _dispatch(now, polled, on_dispatch)
+            cluster.dispatch_cycle = counted
+        return polls
+
+    @staticmethod
+    def issue(pipeline, inst, cluster_id, now=0):
+        assert pipeline.clusters[cluster_id].accept(inst, now)
+        pipeline._note_issue(inst, cluster_id, now)
+        return inst
+
+    @staticmethod
+    def polled_at(polls, seq):
+        return [now for now, s in polls if s == seq]
+
+    def test_consumer_wake_cycle_follows_cluster_order(self, tiny_program):
+        pipeline = make_pipeline(tiny_program)
+        producer = self.issue(pipeline, make_dyn(0, srcs=()), 1)
+        producer.ready_time = 3
+        consumers = {}
+        for seq, cluster_id in ((1, 0), (2, 1), (3, 2)):
+            consumer = link(make_dyn(seq, srcs=(8,)), producer)
+            consumers[cluster_id] = self.issue(pipeline, consumer, cluster_id)
+        polls = self.record_polls(pipeline)
+        for now in (1, 2, 3):
+            pipeline._execute(now)
+        assert producer.dispatch_cycle == 3
+        # Cluster 2 runs after cluster 1 in the same cycle.
+        assert self.polled_at(polls, 3) == [1, 3]
+        assert consumers[2].ready_time is not None
+        assert self.polled_at(polls, 1) == [1]
+        assert self.polled_at(polls, 2) == [1]
+        pipeline._execute(4)
+        assert self.polled_at(polls, 1) == [1, 4]
+        assert self.polled_at(polls, 2) == [1, 4]
+        # Parked until cycle 3; no poll in cycle 2.
+        assert self.polled_at(polls, 0) == [1, 3]
+
+    def test_load_parked_behind_older_store(self, tiny_program):
+        pipeline = make_pipeline(tiny_program)
+        store = self.issue(pipeline, make_dyn(0, Opcode.STORE, dest=None,
+                                              srcs=()), 0)
+        store.ready_time = 3
+        load = self.issue(pipeline, make_dyn(1, Opcode.LOAD, srcs=()), 0)
+        polls = self.record_polls(pipeline)
+        for now in range(1, 6):
+            pipeline._execute(now)
+        assert store.dispatch_cycle == 3
+        # Polled once, parked while the store is pending, woken by its
+        # dispatch and polled again in the next cycle (same cluster).
+        assert self.polled_at(polls, 1) == [1, 4]
+        assert load.dispatch_cycle == 4
+
+    def test_port_blocked_load_polled_next_cycle(self, tiny_program):
+        pipeline = make_pipeline(tiny_program,
+                                 config=MachineConfig(dcache_ports=1))
+        load = self.issue(pipeline, make_dyn(0, Opcode.LOAD, srcs=()), 2)
+        # Another access holds the only D-cache port in cycle 1.
+        pipeline.memory.data_access(99, 0x9000, False, 1)
+        polls = self.record_polls(pipeline)
+        pipeline._execute(1)
+        assert load.dispatch_cycle < 0
+        pipeline._execute(2)
+        assert self.polled_at(polls, 0) == [1, 2]
+        assert load.dispatch_cycle == 2
+
+    def test_parked_entries_cost_no_polls(self, tiny_program):
+        pipeline = make_pipeline(tiny_program)
+        producer = self.issue(pipeline, make_dyn(0, srcs=()), 0)
+        producer.ready_time = 50
+        for seq in range(1, 5):
+            self.issue(pipeline, link(make_dyn(seq, srcs=(8,)), producer),
+                       seq % 4)
+        polls = self.record_polls(pipeline)
+        for now in range(1, 50):
+            pipeline._execute(now)
+        assert len(polls) == 5  # one poll each, in cycle 1
+        assert sum(c.occupancy for c in pipeline.clusters) == 5
