@@ -11,7 +11,9 @@ Select is event-driven, like real wake-up logic: it polls only the
 cluster's *awake* entries.  An entry that cannot be ready yet is parked
 by the pipeline and comes back through :meth:`Cluster.wake` (its
 producer or an older store dispatched) or the cluster's cycle calendar
-(:meth:`Cluster.wake_at`).
+(:meth:`Cluster.wake_at`).  With nothing awake, the calendar's first
+cycle is the earliest one in which select can act
+(:meth:`Cluster.next_select_cycle`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections import defaultdict
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
-from repro.isa import DynInst, OpClass
+from repro.isa import NEVER, DynInst, OpClass
 from repro.cluster.functional_units import FunctionalUnit, make_cluster_units
 from repro.cluster.reservation_station import ReservationStation
 
@@ -63,6 +65,8 @@ class Cluster:
         for unit in self.units:
             self._units_by_class.setdefault(unit.kind, []).append(unit)
         self._simple_toggle = 0
+        #: Total buffered instructions across all stations.
+        self.occupancy = 0
 
     # ------------------------------------------------------------------
     # Issue side.
@@ -102,8 +106,12 @@ class Cluster:
         if station is None:
             return False
         station.insert(inst, now)
-        inst.select_key = (self._rank[station], inst.seq)
-        self.wake(inst)
+        key = inst.select_key = (self._rank[station], inst.seq)
+        self.occupancy += 1
+        awake = self._awake
+        if awake and awake[-1].select_key > key:
+            self._unsorted = True
+        awake.append(inst)
         return True
 
     # ------------------------------------------------------------------
@@ -165,13 +173,15 @@ class Cluster:
         dispatched = 0
         for kind, candidates in ready_by_class.items():
             free_units = [
-                u for u in self._units_by_class[kind] if u.free(now)
+                u for u in self._units_by_class[kind] if now >= u.busy_until
             ]
             if not free_units:
                 continue
-            candidates.sort()
+            if len(candidates) > 1:
+                candidates.sort()
             for unit, (_seq, inst) in zip(free_units, candidates):
                 stations[inst.select_key[0]].remove(inst)
+                self.occupancy -= 1
                 awake.remove(inst)
                 on_dispatch(inst, unit, now)
                 dispatched += 1
@@ -191,10 +201,16 @@ class Cluster:
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-    @property
-    def occupancy(self) -> int:
-        """Total buffered instructions across all stations."""
-        return sum(len(s) for s in self.stations.values())
+    def next_select_cycle(self, now: int) -> int:
+        """Earliest cycle from ``now`` on in which select has an entry to
+        poll: ``now`` while anything is awake, else the first calendar
+        cycle, else :data:`~repro.isa.NEVER` (every entry waits on a
+        :meth:`wake`).  Pure.
+        """
+        if self._awake:
+            return now
+        calendar = self._calendar
+        return min(calendar) if calendar else NEVER
 
     def clear(self) -> None:
         """Drop all buffered instructions and select state (pipeline reset).
@@ -209,5 +225,6 @@ class Cluster:
         self._unsorted = False
         self._calendar.clear()
         self._simple_toggle = 0
+        self.occupancy = 0
         for unit in self.units:
             unit.busy_until = -1

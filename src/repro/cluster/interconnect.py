@@ -28,8 +28,9 @@ class Interconnect:
         self.hop_latency = config.hop_latency
         self.topology = config.interconnect
         n = self.num_clusters
-        # Precompute the distance matrix; the hot path is a table lookup.
-        self._distance = [[0] * n for _ in range(n)]
+        #: ``distances[src][dst]``: cluster hops, precomputed so the hot
+        #: path is a table lookup.
+        self.distances = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(n):
                 if a == b:
@@ -40,29 +41,29 @@ class Interconnect:
                     d = 1
                 else:
                     d = abs(a - b)
-                self._distance[a][b] = d
+                self.distances[a][b] = d
 
     def distance(self, src: int, dst: int) -> int:
         """Number of cluster hops from ``src`` to ``dst``."""
-        return self._distance[src][dst]
+        return self.distances[src][dst]
 
     def forward_latency(self, src: int, dst: int) -> int:
         """Cycles to forward a result from ``src`` to ``dst``.
 
         Zero within a cluster; ``hop_latency`` per hop otherwise.
         """
-        return self._distance[src][dst] * self.hop_latency
+        return self.distances[src][dst] * self.hop_latency
 
     def neighbors(self, cluster: int) -> Tuple[int, ...]:
         """Clusters exactly one hop from ``cluster``."""
         return tuple(
             c for c in range(self.num_clusters)
-            if self._distance[cluster][c] == 1
+            if self.distances[cluster][c] == 1
         )
 
     def ordered_by_distance(self, cluster: int) -> Tuple[int, ...]:
         """All clusters sorted by distance from ``cluster`` (self first)."""
         return tuple(
             sorted(range(self.num_clusters),
-                   key=lambda c: (self._distance[cluster][c], c))
+                   key=lambda c: (self.distances[cluster][c], c))
         )

@@ -89,6 +89,20 @@ class CycleAccounting:
             return
         self.counts[self._classify(pipeline)] += lost
 
+    def observe_idle(self, pipeline, cycles: int) -> None:
+        """Attribute ``cycles`` quiet cycles from ``pipeline.now`` on.
+
+        A quiet span retires nothing, and its class cannot change inside
+        it: the pipeline ends every span at the next cycle any threshold
+        :meth:`_classify` reads could pass (the front-end head's ready
+        cycle, a mispredict's resolve plus redirect penalty, the head's
+        wake-up cycle).  So one classification books all
+        ``width x cycles`` lost slots, exactly as per-cycle
+        :meth:`observe` calls would.
+        """
+        self.cycles += cycles
+        self.counts[self._classify(pipeline)] += self.width * cycles
+
     def _classify(self, pipeline) -> Tuple[str, str]:
         """(cluster key, category) blocking the ROB head this cycle.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.isa import BranchKind, DynInst
+from repro.isa import NEVER, BranchKind, DynInst
 from repro.cluster.config import MachineConfig
 from repro.core.stats import SimStats
 from repro.frontend import BranchTargetBuffer, HybridPredictor, ReturnAddressStack
@@ -117,6 +117,32 @@ class FetchEngine:
         if now < self._blocked_until:
             return "icache_miss"
         return None
+
+    def next_fetch_cycle(self, now: int) -> int:
+        """Earliest cycle from ``now`` on in which :meth:`fetch` could
+        deliver a packet or its stall could change kind.
+
+        ``now`` when fetch is free to run; the end of a pending redirect
+        penalty or I-cache wait when one is due later;
+        :data:`~repro.isa.NEVER` when it waits on a mispredicted branch
+        that has not dispatched, or the stream is exhausted.  Pure, like
+        :meth:`stall_kind`.
+        """
+        wake = NEVER
+        branch = self._blocked_branch
+        if branch is not None:
+            resolve = branch.complete_cycle
+            if resolve >= 0:
+                resume = resolve + self.config.redirect_penalty
+                if resume <= now:
+                    branch = None
+                else:
+                    wake = resume
+        if now < self._blocked_until:
+            return min(wake, self._blocked_until)
+        if branch is not None:
+            return wake
+        return NEVER if self.cursor.exhausted else now
 
     def fetch(self, now: int) -> Tuple[List[DynInst], int]:
         """Fetch one packet; returns (instructions, extra_ready_delay).

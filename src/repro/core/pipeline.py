@@ -27,6 +27,15 @@ approximation, see DESIGN.md):
   speculative disambiguation), stores complete into the store buffer, and
   loads may forward from it.  A load held back by an older store is
   parked until a store dispatch makes it the oldest.
+* The cycle loop fast-forwards over *quiet* cycles, in which no stage can
+  act: nothing retires, no reservation-station entry is awake or due in
+  a calendar, no fill line is due, the front-end head cannot issue, and
+  fetch is stalled or the front end is full.  Each stage reports the
+  earliest cycle in which it could act, and :meth:`Pipeline.run` jumps
+  straight to the earliest of them, booking the skipped cycles (cycle
+  count and cycle accounting) in one batch.  A skipped cycle would have
+  changed nothing else, so results are byte-identical to stepping every
+  cycle.  :meth:`Pipeline.step` still simulates exactly one cycle.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from repro.cluster.interconnect import Interconnect
 from repro.core.accounting import CycleAccounting
 from repro.core.fetch import FetchEngine, StreamCursor
 from repro.core.stats import SimStats
-from repro.isa import DynInst
+from repro.isa import NEVER, DynInst
 from repro.isa.instruction import LeaderFollower
 from repro.isa.registers import RegisterFile
 from repro.memory.hierarchy import MemoryHierarchy
@@ -54,6 +63,11 @@ from repro.workloads.program import Program
 
 #: Cycles without a retirement before the simulator declares deadlock.
 _WATCHDOG_CYCLES = 50_000
+
+
+def _last_arrival(arrivals: List[int]) -> int:
+    """Index of the latest of one or two operand arrivals (first on a tie)."""
+    return 1 if len(arrivals) > 1 and arrivals[1] > arrivals[0] else 0
 
 
 class Pipeline:
@@ -149,6 +163,8 @@ class Pipeline:
             + config.issue_stages
             + (spec.steer_latency if spec.kind == "issue" else 0)
         )
+        self._distances = self.interconnect.distances
+        self._hop_latency = config.hop_latency
         mode = config.forward_latency_mode
         self._mode = mode
         self._zero_all = mode == "zero_all"
@@ -160,14 +176,34 @@ class Pipeline:
     # Public driving interface.
     # ------------------------------------------------------------------
     def run(self, max_instructions: int) -> SimStats:
-        """Simulate until ``max_instructions`` retire (or stream ends)."""
+        """Simulate until ``max_instructions`` retire (or stream ends).
+
+        Each iteration either steps one cycle or, when the current cycle
+        is quiet (:meth:`_next_action_cycle`), fast-forwards to the first
+        cycle in which some stage could act.  A jump also stops at the
+        next sampler or progress-hook cycle and at the watchdog's
+        deadline, so hooks fire, and a deadlock raises, at the same
+        cycles as when stepping every cycle.  The loop ends as soon as
+        the target retires, so no quiet span is booked after it.
+        """
         target = self.stats.retired + max_instructions
         hook = self.progress_hook
         sampler = self.sampler
         while self.stats.retired < target:
             if self._drained():
                 break
-            self.step()
+            wake = self._next_action_cycle()
+            if wake > self.now:
+                wake = min(
+                    wake,
+                    self._last_retire_cycle + _WATCHDOG_CYCLES + 1,
+                    self._next_sample if sampler is not None else NEVER,
+                    self._next_progress if hook is not None else NEVER,
+                )
+            if wake > self.now:
+                self._skip_to(wake)
+            else:
+                self.step()
             if sampler is not None and self.now >= self._next_sample:
                 self._next_sample = self.now + max(1, self.sample_interval)
                 sampler(self)
@@ -194,10 +230,82 @@ class Pipeline:
 
     def _drained(self) -> bool:
         return (
-            self.cursor.exhausted
-            and not self.rob
+            not self.rob
             and not self.frontend
+            and self.cursor.exhausted
         )
+
+    # ------------------------------------------------------------------
+    # Quiet cycles.
+    # ------------------------------------------------------------------
+    def _next_action_cycle(self) -> int:
+        """First cycle from ``now`` on in which some stage could act.
+
+        ``now`` unless the current cycle is quiet.  A cycle is quiet when
+        stepping it would change nothing but the cycle count and the
+        cycle accounting:
+
+        * retire: the ROB head has not dispatched, or completes later;
+        * select: no cluster has an awake entry or a calendar entry due;
+        * fill: no line is due for installation;
+        * issue: the front end is empty, the ROB is full, the head is
+          not ready yet, it has no LSQ slot, or (slot-based issue only)
+          its cluster has no station entry free for it.  Write ports
+          free up every cycle, so they never make a cycle quiet;
+        * fetch: the front end is full, or fetch is stalled.
+
+        Every future cycle at which one of those conditions lapses, or a
+        threshold :meth:`CycleAccounting._classify` reads passes, bounds
+        the result.  Pure.
+        """
+        now = self.now
+        wake = NEVER
+        rob = self.rob
+        if rob:
+            # An undispatched head (complete_cycle < 0) needs a dispatch,
+            # and a dispatch needs a wake-up the clusters report below.
+            complete = rob[0].complete_cycle
+            if complete >= 0:
+                if complete <= now:
+                    return now
+                wake = complete
+        for cluster in self.clusters:
+            cycle = cluster.next_select_cycle(now)
+            if cycle < wake:
+                if cycle <= now:
+                    return now
+                wake = cycle
+        cycle = self.fill_unit.next_install_cycle()
+        if cycle < wake:
+            if cycle <= now:
+                return now
+            wake = cycle
+        frontend = self.frontend
+        if frontend:
+            ready, head = frontend[0]
+            if ready > now:
+                if ready < wake:
+                    wake = ready
+            elif (len(rob) < self.config.rob_entries
+                  and self._mem_slot_available(head)
+                  and (self.steerer is not None
+                       or self.clusters[head.slot_cluster].has_space(
+                           head, now))):
+                return now
+        cycle = self.fetch_engine.next_fetch_cycle(now)
+        if cycle <= now:
+            if len(frontend) < 2 * self.config.width:
+                return now
+        elif cycle < wake:
+            wake = cycle
+        return wake
+
+    def _skip_to(self, cycle: int) -> None:
+        """Book the quiet cycles ``now .. cycle - 1`` without stepping."""
+        skipped = cycle - self.now
+        self.accounting.observe_idle(self, skipped)
+        self.stats.cycles += skipped
+        self.now = cycle
 
     # ------------------------------------------------------------------
     # One cycle.
@@ -334,7 +442,8 @@ class Pipeline:
             return 0
         if self._zero_inter and not same_trace:
             return 0
-        return self.interconnect.forward_latency(producer.cluster, consumer.cluster)
+        return (self._distances[producer.cluster][consumer.cluster]
+                * self._hop_latency)
 
     def _compute_ready(self, inst: DynInst) -> Optional[int]:
         """Wake-up time of ``inst`` in its cluster; None if unknown yet."""
@@ -356,8 +465,9 @@ class Pipeline:
                 arrivals.append(complete + self._forward_latency(producer, inst))
             else:
                 arrivals.append(rf_ready)
-        # Critical input: the operand arriving last.
-        critical = max(range(len(arrivals)), key=arrivals.__getitem__)
+        # Critical input: the operand arriving last (at most two sources;
+        # the lower index wins a tie).
+        critical = _last_arrival(arrivals)
         if self._zero_critical:
             # Figure 5 "No Crit Fwd Lat": the last-arriving *forwarded*
             # value loses its forwarding latency.
@@ -365,23 +475,22 @@ class Pipeline:
             if fwd_indices:
                 last_fwd = max(fwd_indices, key=arrivals.__getitem__)
                 arrivals[last_fwd] = producers[last_fwd].complete_cycle
-                critical = max(range(len(arrivals)), key=arrivals.__getitem__)
+                critical = _last_arrival(arrivals)
         # Interconnect activity: every forwarded operand travels the
         # producer-to-consumer distance once (energy accounting).
         stats = self.stats
+        cluster = inst.cluster
+        distances = self._distances
         for i, producer in enumerate(producers):
             if forwarded[i]:
                 stats.forwarded_operands += 1
-                stats.forwarded_hops += self.interconnect.distance(
-                    producer.cluster, inst.cluster)
+                stats.forwarded_hops += distances[producer.cluster][cluster]
         inst.critical_src = critical
         if forwarded[critical]:
             producer = producers[critical]
             inst.critical_forwarded = True
             inst.critical_producer = producer
-            inst.critical_distance = self.interconnect.distance(
-                producer.cluster, inst.cluster
-            )
+            inst.critical_distance = distances[producer.cluster][cluster]
             inst.critical_inter_trace = (
                 producer.trace_instance != inst.trace_instance
             )

@@ -26,7 +26,7 @@ from repro.isa.registers import (
     fp_reg,
     int_reg,
 )
-from repro.isa.instruction import BranchKind, DynInst, Instruction
+from repro.isa.instruction import NEVER, BranchKind, DynInst, Instruction
 
 __all__ = [
     "BRANCH_OPCODES",
@@ -36,6 +36,7 @@ __all__ = [
     "ISSUE_LATENCY",
     "Instruction",
     "MEMORY_OPCODES",
+    "NEVER",
     "NUM_FP_REGS",
     "NUM_INT_REGS",
     "Opcode",

@@ -123,6 +123,11 @@ class Instruction:
         return f"<Instruction {' '.join(parts)}>"
 
 
+#: Cycle sentinel for an event no known cycle schedules (later than any
+#: simulated cycle); compares like an ordinary cycle number.
+NEVER = 1 << 62
+
+
 class DynInst:
     """One dynamic execution of a static instruction.
 

@@ -20,6 +20,10 @@ the same ``is not None`` fast-path slot as the pipeline observers
 (``pipeline.profiler``), so unprofiled runs cost one attribute test per
 cycle, and the profiled step only *times* the existing phase calls —
 simulated results are byte-identical with the profiler on or off.
+Quiet cycles the pipeline fast-forwards over are not stepped, so they
+cost (and are charged) no phase time, but they count as simulated
+cycles: :attr:`PhaseProfiler.steps` and :attr:`cycles_per_second` cover
+the whole span of simulated cycles.
 
 Outputs:
 
@@ -72,7 +76,12 @@ class PhaseProfiler:
                 f"sample_cycles must be >= 0, got {sample_cycles}")
         self.sample_cycles = sample_cycles
         self.seconds: Dict[str, float] = {phase: 0.0 for phase in PHASES}
+        #: Simulated cycles covered: the span of ``pipeline.now`` over
+        #: the profiled steps, including quiet cycles fast-forwarded
+        #: between them (the name predates the fast-forward).
         self.steps = 0
+        #: The cycle after the last one accounted (None before any).
+        self._next_cycle: Optional[int] = None
         #: ``(first_cycle, {phase: seconds})`` per completed sample.
         self.samples: List[tuple] = []
         self._clock = _clock
@@ -87,6 +96,7 @@ class PhaseProfiler:
         if pipeline.profiler is not None:
             raise RuntimeError("pipeline already has a profiler attached")
         self._pipeline = pipeline
+        self._next_cycle = pipeline.now
         pipeline.profiler = self
         return self
 
@@ -110,13 +120,18 @@ class PhaseProfiler:
     # ------------------------------------------------------------------
     def account(self, execute: float, fill: float, assign: float,
                 fetch: float, cycle: int) -> None:
-        """Charge one step's phase durations (seconds) at ``cycle``."""
+        """Charge one step's phase durations (seconds) at ``cycle``.
+
+        Cycles skipped since the previous step count as simulated.
+        """
         seconds = self.seconds
         seconds["execute"] += execute
         seconds["fill"] += fill
         seconds["assign"] += assign
         seconds["fetch"] += fetch
-        self.steps += 1
+        start = self._next_cycle
+        self.steps += 1 if start is None else cycle + 1 - start
+        self._next_cycle = cycle + 1
         if not self.sample_cycles:
             return
         if self._open_start is None:

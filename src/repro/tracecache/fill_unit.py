@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa import BranchKind, DynInst
+from repro.isa import NEVER, BranchKind, DynInst
 from repro.isa.instruction import LeaderFollower
 from repro.assign.base import RetireTimeStrategy
 from repro.cluster.config import MachineConfig
@@ -63,6 +63,8 @@ class FillUnit:
         self.trace_cache = trace_cache
         self.strategy = strategy
         self._pending = PendingTrace()
+        #: ``(ready cycle, line)`` in ready order: lines are queued with
+        #: a fixed latency at non-decreasing cycles.
         self._install_queue: List[Tuple[int, TraceLine]] = []
         self._now = 0
         #: Optional :class:`repro.obs.tracer.PipelineObserver`; set by
@@ -130,6 +132,12 @@ class FillUnit:
             else:
                 remaining.append((ready, line))
         self._install_queue = remaining
+
+    def next_install_cycle(self) -> int:
+        """Cycle in which :meth:`tick` installs its next line, or
+        :data:`~repro.isa.NEVER` with nothing queued.  Pure."""
+        queue = self._install_queue
+        return queue[0][0] if queue else NEVER
 
     # ------------------------------------------------------------------
     def _finalize(self, now: int) -> None:

@@ -11,7 +11,6 @@ its architectural outcome (branch direction and target, memory address).
 
 from __future__ import annotations
 
-import copy
 import random
 from typing import Iterator, List, Optional
 
@@ -44,12 +43,10 @@ class FunctionalSimulator:
 
     def reset(self) -> None:
         """Restart execution from the program entry point."""
-        self._behaviors = copy.deepcopy(self.program.branch_behaviors)
-        self._streams = copy.deepcopy(self.program.address_streams)
-        for behavior in self._behaviors.values():
-            behavior.reset()
-        for stream in self._streams:
-            stream.reset()
+        program = self.program
+        self._behaviors = {pc: behavior.fresh() for pc, behavior
+                           in program.branch_behaviors.items()}
+        self._streams = [stream.fresh() for stream in program.address_streams]
         self._rng = random.Random(self._seed)
         self._block = self.program.entry_block
         self._index = 0

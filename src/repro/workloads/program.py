@@ -16,6 +16,19 @@ from typing import Dict, List, Optional, Sequence
 from repro.isa import BranchKind, Instruction
 
 
+def _fresh(model):
+    """A private copy of ``model`` in its initial state.
+
+    Behaviour models hold only immutable fields (ints, floats, tuples of
+    bools), so a copy of the attribute dict is fully independent of the
+    original: stepping one never moves the other.
+    """
+    clone = object.__new__(type(model))
+    clone.__dict__.update(model.__dict__)
+    clone.reset()
+    return clone
+
+
 class BranchBehavior:
     """Base class for branch outcome models.
 
@@ -31,6 +44,10 @@ class BranchBehavior:
 
     def reset(self) -> None:
         """Restore the initial state."""
+
+    def fresh(self) -> "BranchBehavior":
+        """An independent copy in the initial state."""
+        return _fresh(self)
 
 
 class LoopBranch(BranchBehavior):
@@ -106,6 +123,10 @@ class AddressStream:
 
     def reset(self) -> None:
         """Restore the initial state."""
+
+    def fresh(self) -> "AddressStream":
+        """An independent copy in the initial state."""
+        return _fresh(self)
 
 
 class StrideStream(AddressStream):

@@ -130,3 +130,30 @@ def test_interleaved_simulators_are_independent(tiny_program):
         stream_b.append(b.step())
     assert [(i.pc, i.taken, i.mem_addr) for i in stream_a] == \
         [(i.pc, i.taken, i.mem_addr) for i in stream_b]
+
+
+def test_interleaved_simulators_match_solo_runs(tiny_program):
+    """Each simulator over a shared Program yields the stream it yields
+    alone, however its steps interleave with another simulator's (one
+    with a different seed, so shared model state could not cancel out)."""
+    def signature(insts):
+        return [(i.seq, i.pc, i.taken, i.target, i.mem_addr) for i in insts]
+
+    solo = {seed: signature(FunctionalSimulator(tiny_program, seed=seed)
+                            .run(1500))
+            for seed in (1, 2)}
+    a = FunctionalSimulator(tiny_program, seed=1)
+    b = FunctionalSimulator(tiny_program, seed=2)
+    stream_a, stream_b = [], []
+    for step in range(1500):
+        stream_a.append(a.step())
+        # b runs in bursts, so the two advance through the models at
+        # different rates.
+        if step % 3 == 0:
+            stream_b.extend(b.run(3))
+    assert signature(stream_a) == solo[1]
+    assert signature(stream_b[:1500]) == solo[2]
+    # The Program's own models were never stepped.
+    models = (list(tiny_program.branch_behaviors.values())
+              + list(tiny_program.address_streams))
+    assert all(vars(model) == vars(model.fresh()) for model in models)
