@@ -208,9 +208,13 @@ def intra_trace_producers(insts: Sequence["DynInst"]) -> List[List[int]]:
 
 def intra_trace_consumers(insts: Sequence["DynInst"]) -> List[bool]:
     """For each instruction, whether a later in-trace instruction reads it."""
-    producers = intra_trace_producers(insts)
-    has_consumer = [False] * len(insts)
-    for i, plist in enumerate(producers):
+    return consumer_flags(intra_trace_producers(insts))
+
+
+def consumer_flags(producers: Sequence[Sequence[int]]) -> List[bool]:
+    """:func:`intra_trace_consumers` from already-built producer lists."""
+    has_consumer = [False] * len(producers)
+    for plist in producers:
         for j in plist:
             has_consumer[j] = True
     return has_consumer

@@ -40,7 +40,7 @@ from repro.assign.base import (
     AssignmentContext,
     ClusterCapacity,
     RetireTimeStrategy,
-    intra_trace_consumers,
+    consumer_flags,
     intra_trace_producers,
 )
 from repro.isa.instruction import LeaderFollower
@@ -109,7 +109,8 @@ class FDRTStrategy(RetireTimeStrategy):
         per = context.slots_per_cluster
         n = min(len(insts), width)
         index_of = {id(inst): i for i, inst in enumerate(insts[:n])}
-        consumers = intra_trace_consumers(insts[:n])
+        producers = intra_trace_producers(insts[:n])
+        consumers = consumer_flags(producers)
 
         capacity = ClusterCapacity(context.num_clusters, per)
         cluster_of: Dict[int, int] = {}
@@ -177,7 +178,6 @@ class FDRTStrategy(RetireTimeStrategy):
             slots[slot] = logical
 
         if pending:
-            producers = intra_trace_producers(insts[:n])
             # Pass 1 (Friendly's slot-centric method, port-aware): prefer
             # an instruction with an in-trace producer in the slot's
             # cluster, else the oldest that fits the cluster's budgets.

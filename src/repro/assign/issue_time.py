@@ -7,6 +7,14 @@ instruction prefers the cluster of the in-flight producer of its
 ``slots_per_cluster`` instructions enter each cluster per cycle, which
 both simplifies the hardware and balances workloads.
 
+Cluster choice is a table walk, with no per-instruction sort.  The
+interconnect precomputes, for each cluster, the other clusters grouped by
+distance (``Interconnect.distance_groups``).  When the preferred cluster
+is full, the steerer walks its groups nearest first and takes the
+least-loaded, lowest-id cluster of the first group with a free slot; on
+the ring both one-hop clusters share a group, on the crossbar every
+remote cluster does.
+
 The steering/routing *latency* (0 for the ideal study, 4 cycles for the
 realistic one, 2 for the eight-wide machine) is applied by the pipeline as
 extra front-end stages via ``StrategySpec.steer_latency``; this class only
@@ -27,6 +35,9 @@ class IssueTimeSteering:
 
     def __init__(self, context: AssignmentContext) -> None:
         self.context = context
+        self._cap = context.slots_per_cluster
+        self._anywhere = (tuple(range(context.num_clusters)),)
+        self._groups = context.interconnect.distance_groups
 
     def steer(self, insts: Sequence, cluster_load: List[int]) -> List[Optional[int]]:
         """Choose a cluster per instruction for one issue cycle.
@@ -36,84 +47,62 @@ class IssueTimeSteering:
         for balance) and is *not* mutated.  Returns one cluster id (or
         ``None`` = cannot issue this cycle) per instruction, respecting
         the per-cluster per-cycle cap.
+
+        Each instruction prefers the cluster of its youngest producer
+        still in flight (the best guess for its last input), else of its
+        youngest completed producer, whose value may already sit in the
+        register file.  Both intra-trace and inter-trace producers are
+        visible at issue time: the information advantage issue-time
+        steering has over retire-time schemes.  A producer steered
+        earlier in this same window counts with its tentative cluster.
         """
-        context = self.context
-        cap = context.slots_per_cluster
-        issued = [0] * context.num_clusters
+        cap = self._cap
+        anywhere = self._anywhere
+        groups = self._groups
+        issued = [0] * len(anywhere[0])
         load = list(cluster_load)
         result: List[Optional[int]] = []
         tentative: dict = {}
         for inst in insts:
-            preferred = self._preferred_cluster(inst, tentative)
-            cluster = self._pick(preferred, issued, load, cap)
-            result.append(cluster)
-            if cluster is not None:
-                tentative[id(inst)] = cluster
-                issued[cluster] += 1
-                load[cluster] += 1
-        return result
-
-    def _preferred_cluster(self, inst, tentative: dict) -> Optional[int]:
-        """Cluster of the producer expected to arrive last, if in flight.
-
-        Producers that have already completed long ago supply their value
-        through the register file, so only in-flight producers (not yet
-        completed, or just completed) attract the consumer.  Both
-        intra-trace and inter-trace producers are visible at issue time —
-        this is the information advantage issue-time steering has over
-        retire-time schemes.
-        """
-        def cluster_of(producer) -> int:
-            # A producer steered earlier in this same window has a
-            # tentative cluster before the pipeline commits it.
-            if producer.cluster >= 0:
-                return producer.cluster
-            return tentative.get(id(producer), -1)
-
-        best_cluster = -1
-        best_seq = -1
-        for producer in inst.src_producers:
-            if producer is None:
-                continue
-            cluster = cluster_of(producer)
-            if cluster < 0:
-                continue
-            # The youngest producer is the best guess for the last input.
-            if producer.complete_cycle < 0 and producer.seq > best_seq:
-                best_cluster = cluster
-                best_seq = producer.seq
-        if best_cluster < 0:
+            preferred = -1
+            preferred_seq = -1
+            done_cluster = -1
+            done_seq = -1
             for producer in inst.src_producers:
                 if producer is None:
                     continue
-                cluster = cluster_of(producer)
-                if cluster >= 0 and producer.seq > best_seq:
-                    best_cluster = cluster
-                    best_seq = producer.seq
-        return best_cluster if best_cluster >= 0 else None
-
-    def _pick(
-        self,
-        preferred: Optional[int],
-        issued: List[int],
-        load: List[int],
-        cap: int,
-    ) -> Optional[int]:
-        interconnect = self.context.interconnect
-        if preferred is not None:
-            # Preferred cluster, else the nearest cluster with a free slot
-            # (ties broken by load).
-            for cluster in sorted(
-                range(self.context.num_clusters),
-                key=lambda c: (interconnect.distance(preferred, c), load[c], c),
-            ):
-                if issued[cluster] < cap:
-                    return cluster
-            return None
-        # No known producer: balance on load.
-        candidates = [
-            c for c in range(self.context.num_clusters) if issued[c] < cap
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda c: (load[c], c))
+                cluster = producer.cluster
+                if cluster < 0:
+                    cluster = tentative.get(id(producer), -1)
+                    if cluster < 0:
+                        continue
+                seq = producer.seq
+                if producer.complete_cycle < 0:
+                    if seq > preferred_seq:
+                        preferred = cluster
+                        preferred_seq = seq
+                elif seq > done_seq:
+                    done_cluster = cluster
+                    done_seq = seq
+            if preferred < 0:
+                preferred = done_cluster
+            if preferred >= 0 and issued[preferred] < cap:
+                choice = preferred
+            else:
+                # The least-loaded, lowest-id cluster with a free slot in
+                # the nearest group that has one.  With no known producer
+                # every cluster is one group: balance on load.
+                choice = None
+                for group in groups[preferred] if preferred >= 0 else anywhere:
+                    for c in group:
+                        if issued[c] < cap and (choice is None
+                                                or load[c] < load[choice]):
+                            choice = c
+                    if choice is not None:
+                        break
+            result.append(choice)
+            if choice is not None:
+                tentative[id(inst)] = choice
+                issued[choice] += 1
+                load[choice] += 1
+        return result

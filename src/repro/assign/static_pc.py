@@ -49,13 +49,13 @@ class StaticAssignment(RetireTimeStrategy):
         capacity = ClusterCapacity(context.num_clusters, per)
         cluster_of: Dict[int, int] = {}
         pending: List[int] = []
-        order = self.context.interconnect.ordered_by_distance
+        orders = self.context.interconnect.orders
         for i in range(n):
             inst = insts[i]
             want = self.mapping.get(inst.static.pc)
             placed = False
             if want is not None:
-                for cluster in order(want):
+                for cluster in orders[want]:
                     if capacity.can_place(cluster, inst.static.op_class):
                         capacity.place(cluster, inst.static.op_class)
                         cluster_of[i] = cluster

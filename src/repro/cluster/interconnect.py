@@ -15,6 +15,7 @@ clusters, matching the paper.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Tuple
 
 from repro.cluster.config import MachineConfig
@@ -42,6 +43,30 @@ class Interconnect:
                 else:
                     d = abs(a - b)
                 self.distances[a][b] = d
+        # Distance orders, built once so cluster choice is a table read.
+        #: ``orders[c]``: every cluster sorted by (distance from ``c``, id),
+        #: ``c`` itself first.
+        self.orders = tuple(
+            tuple(sorted(range(n),
+                         key=lambda b, a=a: (self.distances[a][b], b)))
+            for a in range(n)
+        )
+        #: ``distance_groups[c]``: the other clusters grouped by distance
+        #: from ``c``, nearest group first, ids ascending within a group.
+        self.distance_groups = tuple(
+            tuple(
+                tuple(group) for _, group in
+                groupby(self.orders[a][1:], key=self.distances[a].__getitem__)
+            )
+            for a in range(n)
+        )
+        #: ``nearest_middle[c]``: the middle cluster nearest ``c`` (lowest
+        #: id on a tie), where a fresh FDRT chain anchors.
+        middles = config.middle_clusters
+        self.nearest_middle = tuple(
+            min(middles, key=lambda m, a=a: self.distances[a][m])
+            for a in range(n)
+        )
 
     def distance(self, src: int, dst: int) -> int:
         """Number of cluster hops from ``src`` to ``dst``."""
@@ -63,7 +88,4 @@ class Interconnect:
 
     def ordered_by_distance(self, cluster: int) -> Tuple[int, ...]:
         """All clusters sorted by distance from ``cluster`` (self first)."""
-        return tuple(
-            sorted(range(self.num_clusters),
-                   key=lambda c: (self.distances[cluster][c], c))
-        )
+        return self.orders[cluster]

@@ -560,11 +560,8 @@ class Pipeline:
             # downstream consumers to the middle clusters to bound
             # worst-case forwarding distances, so a fresh chain anchors
             # on the middle cluster nearest to where the leader ran.
-            middles = self.config.middle_clusters
-            producer.chain_cluster = min(
-                middles,
-                key=lambda m: self.interconnect.distance(producer.cluster, m),
-            )
+            producer.chain_cluster = (
+                self.interconnect.nearest_middle[producer.cluster])
             self._persist_profile(producer)
         elif not pinning and producer_lf == LeaderFollower.LEADER:
             # Without pinning the chain target drifts with execution.

@@ -23,6 +23,7 @@ a traceback.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -83,7 +84,9 @@ def _get_json(url: str, path: str,
         if error.code == 404:
             return None
         raise ServiceUnavailable(f"{path}: HTTP {error.code}") from None
-    except (OSError, ValueError) as error:
+    except (OSError, http.client.HTTPException, ValueError) as error:
+        # HTTPException covers IncompleteRead from a torn body, which is
+        # not an OSError.
         raise ServiceUnavailable(f"{path}: {error}") from None
     return payload if isinstance(payload, dict) else None
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.assign.base import (
     StrategySpec,
+    consumer_flags,
     intra_trace_consumers,
     intra_trace_producers,
     make_strategy,
@@ -74,6 +75,14 @@ class TestDependencyHelpers:
         c = make_dyn(2)
         consumers = intra_trace_consumers([a, b, c])
         assert consumers == [True, False, False]
+
+    def test_consumer_flags_from_producer_lists(self):
+        a = make_dyn(0)
+        b = link(make_dyn(1), a)
+        c = link(make_dyn(2), a, b)
+        producers = intra_trace_producers([a, b, c])
+        assert consumer_flags(producers) == [True, True, False]
+        assert consumer_flags(producers) == intra_trace_consumers([a, b, c])
 
 
 class TestIdentityReorder:

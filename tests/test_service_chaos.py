@@ -19,6 +19,7 @@ from repro.resilience.retry import deterministic_jitter
 from repro.runtime import SimJob
 from repro.runtime import settings
 from repro.service import ServiceServer, ServiceTransport, ServiceUnavailable
+from repro.service.client import latency_breakdown, queue_snapshot
 
 
 @pytest.fixture(autouse=True)
@@ -211,6 +212,30 @@ class TestChaosProxy:
             document = transport.get_json("/healthz")
             assert document["status"] == "ok"
             assert transport.retried >= 1
+        finally:
+            self.teardown_pair(server, proxy)
+
+    @pytest.mark.parametrize(
+        "site", ["http.truncate_body", "http.drop_response"])
+    def test_client_reads_turn_a_torn_reply_into_unavailable(
+            self, tmp_path, site):
+        # A torn body raises http.client.IncompleteRead, which is not an
+        # OSError; both read helpers must still report the service as
+        # unavailable rather than crash with a traceback.
+        server, proxy = self.proxied(tmp_path, [
+            FaultSpec(site=site, index=0, attempt=None),
+            FaultSpec(site=site, index=1, attempt=None)])
+        try:
+            job = make_job()
+            # Submitted past the proxy, so GET /jobs/<key> answers 200
+            # with a body to tear.
+            status, _document, _headers = post(server.url, "/jobs",
+                                               job.canonical())
+            assert status in (200, 202)
+            with pytest.raises(ServiceUnavailable):
+                queue_snapshot(proxy.url)
+            assert latency_breakdown(proxy.url, [job]) is None
+            assert proxy.counters()["faults"] == {site: 2}
         finally:
             self.teardown_pair(server, proxy)
 
